@@ -30,7 +30,7 @@ from typing import Dict, Optional, Set
 from repro.core.models import ConsistencyModel
 from repro.host.policies import IssuePolicy
 from repro.sim.component import Component
-from repro.sim.kernel import Simulator, WHEEL_MASK
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -120,13 +120,8 @@ class EntryPoint(Component):
         queue.append(msg)
         if not self._serving:
             self._serving = True
-            # Inlined Simulator.schedule (wheel tier, delay 1): the entry
-            # point forwards at most one message per cycle.
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + 1) & WHEEL_MASK].append(
-                (seq, self._serve_bound, ()))
-            sim._wheel_count += 1
+            # The entry point forwards at most one message per cycle.
+            self.sim.schedule(1, self._serve_bound)
         return True
 
     # ------------------------------------------------------------------ #
@@ -136,12 +131,7 @@ class EntryPoint(Component):
     def _schedule_serve(self) -> None:
         if not self._serving:
             self._serving = True
-            # Inlined Simulator.schedule (wheel tier, delay 1).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + 1) & WHEEL_MASK].append(
-                (seq, self._serve_bound, ()))
-            sim._wheel_count += 1
+            self.sim.schedule(1, self._serve_bound)
 
     def _serve(self) -> None:
         self._serving = False
@@ -195,12 +185,7 @@ class EntryPoint(Component):
                     self._core.on_entry_point_progress()
                 if queue and not self._serving:
                     self._serving = True
-                    # Inlined Simulator.schedule (wheel tier, delay 1).
-                    sim = self.sim
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[(sim.now + 1) & WHEEL_MASK].append(
-                        (seq, self._serve_bound, ()))
-                    sim._wheel_count += 1
+                    self.sim.schedule(1, self._serve_bound)
             return
         store_lines = None  # lines of earlier stores/flushes (lazy)
         pim_scopes = None  # scopes of earlier queued PIM ops (lazy)

@@ -25,7 +25,7 @@ from repro.memory.scope_buffer import ScopeBuffer
 from repro.memory.sbv import ScopeBitVector
 from repro.sim.component import Component, QueuedComponent
 from repro.sim.config import CacheConfig, ScopeBufferConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -98,7 +98,6 @@ class L1Cache(QueuedComponent):
         self._refetch_queue: deque = deque()
         # Multi-phase state for the head-of-queue scope fence.
         self._head_scanned = False
-        self._hit_on_wheel = 0 < config.hit_latency < WHEEL_SLOTS
         # Pre-bound callable for the miss/forward hot path.
         self._req_offer = req_net.offer
         #: Stall-attribution bucket (Tracer-owned dict) when tracing.
@@ -117,8 +116,7 @@ class L1Cache(QueuedComponent):
         mtype = msg.mtype
         # Loads and stores are the simulator's hottest messages: their
         # hit paths are flattened here (lookup + pooled response +
-        # inlined wheel-tier Simulator.schedule) rather than dispatched
-        # through the per-type helpers.
+        # schedule) rather than dispatched through the per-type helpers.
         if mtype is _LOAD:
             line = self.array.lookup(msg.addr)
             if line is None:
@@ -127,15 +125,8 @@ class L1Cache(QueuedComponent):
             if self._mshrs:
                 self.mshr_file.hit_under_miss += 1
             resp = msg.make_response(_LOAD_RESP, line.version)
-            if self._hit_on_wheel:
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                    (seq, resp.reply_to.receive_response, (resp,)))
-                sim._wheel_count += 1
-            else:
-                self.sim.schedule(self._hit_latency,
-                                  resp.reply_to.receive_response, resp)
+            self.sim.schedule(self._hit_latency,
+                              resp.reply_to.receive_response, resp)
             return True
         if mtype is _STORE:
             line = self.array.lookup(msg.addr)
@@ -146,16 +137,8 @@ class L1Cache(QueuedComponent):
                 line.state = MesiState.MODIFIED
                 line.version += 1
                 resp = msg.make_response(_STORE_ACK, line.version)
-                if self._hit_on_wheel:
-                    sim = self.sim
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[
-                        (sim.now + self._hit_latency) & WHEEL_MASK
-                    ].append((seq, resp.reply_to.receive_response, (resp,)))
-                    sim._wheel_count += 1
-                else:
-                    self.sim.schedule(self._hit_latency,
-                                      resp.reply_to.receive_response, resp)
+                self.sim.schedule(self._hit_latency,
+                                  resp.reply_to.receive_response, resp)
                 return True
             # Shared hit (upgrade) or miss: fetch exclusive ownership.
             return self._miss(msg, True)
@@ -380,14 +363,6 @@ class L1Cache(QueuedComponent):
 
     def _respond(self, req: Message, mtype: MessageType, version: int) -> None:
         resp = req.make_response(mtype, version=version)
-        if self._hit_on_wheel:
-            # Inlined Simulator.schedule (wheel tier).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                (seq, resp.reply_to.receive_response, (resp,)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(
-                self._hit_latency, resp.reply_to.receive_response, resp
-            )
+        self.sim.schedule(
+            self._hit_latency, resp.reply_to.receive_response, resp
+        )

@@ -28,7 +28,7 @@ from repro.memory.scope_buffer import ScopeBuffer
 from repro.memory.sbv import ScopeBitVector
 from repro.sim.component import Component, QueuedComponent
 from repro.sim.config import CacheConfig, ScopeBufferConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -70,7 +70,6 @@ class LastLevelCache(QueuedComponent):
         self._scan_latency = self.stats.mean("scan_latency")
         self._flushed_lines = self.stats.counter("flushed_lines")
         self._hit_latency = config.hit_latency
-        self._hit_on_wheel = 0 < config.hit_latency < WHEEL_SLOTS
         # Pre-bound callables for the per-request hot path.
         self._resp_offer = resp_net.offer
         self._mem_offer = mem_link.offer
@@ -136,16 +135,8 @@ class LastLevelCache(QueuedComponent):
                             line.state = MesiState.MODIFIED
                 sharers.add(msg.core)
             resp = msg.make_response(_LOAD_RESP, line.version)
-            if self._hit_on_wheel:
-                # Inlined Simulator.schedule (wheel tier).
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                    (seq, self._resp_offer, (resp, None)))
-                sim._wheel_count += 1
-            else:
-                self.sim.schedule(self._hit_latency, self._resp_offer,
-                                  resp, None)
+            self.sim.schedule(self._hit_latency, self._resp_offer,
+                              resp, None)
             return True
         if mtype is MessageType.STORE:
             # Cached stores never reach the LLC as STOREs (they become
@@ -406,13 +397,4 @@ class LastLevelCache(QueuedComponent):
 
     def _respond(self, req: Message, mtype: MessageType, version: int) -> None:
         resp = req.make_response(mtype, version=version)
-        if self._hit_on_wheel:
-            # Inlined Simulator.schedule (wheel tier).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                (seq, self._resp_offer, (resp, None)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(self._hit_latency, self._resp_offer,
-                              resp, None)
+        self.sim.schedule(self._hit_latency, self._resp_offer, resp, None)

@@ -17,9 +17,10 @@ off:
   (``bucket[reason] = bucket.get(reason, 0) + n``), so the hot path
   pays one dict update and no method call.
 
-The kernel additionally tallies per-tier dispatch counts (ring / wheel /
-heap) through :meth:`Tracer.kernel_tally` -- the ground-truth data the
-ROADMAP's dispatch-loop batching item needs.
+The kernel additionally reports per-tier dispatch counts (ring / wheel /
+heap) and the number of cycles that dispatched anything, once per
+:meth:`Simulator.run <repro.sim.kernel.Simulator.run>`, through
+:meth:`Tracer.kernel_tally`.
 
 The **flight recorder** (``TraceConfig.flight``) snapshots the ring the
 first time an invariant trips mid-run -- today the trigger is a stale
@@ -108,9 +109,10 @@ class Tracer:
 
     # -- kernel dispatch accounting -------------------------------------- #
 
-    def kernel_tally(self, ring_n: int, wheel_n: int, heap_n: int) -> None:
-        """One simulated cycle's dispatch mix (called by the kernel)."""
-        self.kernel_cycles += 1
+    def kernel_tally(self, cycles: int, ring_n: int, wheel_n: int,
+                     heap_n: int) -> None:
+        """One run's dispatch mix (called by the kernel on run exit)."""
+        self.kernel_cycles += cycles
         self.kernel_ring += ring_n
         self.kernel_wheel += wheel_n
         self.kernel_heap += heap_n

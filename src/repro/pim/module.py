@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional
 from repro.memory.versioned import VersionedMemory
 from repro.sim.component import Component
 from repro.sim.config import PimModuleConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -102,7 +102,6 @@ class PimModule(Component):
         self._executed = 0
         self._accesses = 0
         self.stats.register_flush(self._flush_stats)
-        self._access_on_wheel = 0 < access_latency < WHEEL_SLOTS
         # Pre-bound callables for the per-access hot path.
         self._resp_offer = resp_net.offer
         self._serve_direct_bound = self._serve_direct
@@ -172,14 +171,9 @@ class PimModule(Component):
                 self._scopes_with_queued_ops += 1
         elif not self._conflicts_with_ops(msg):
             # Record-data access: its arrays are not written by PIM ops;
-            # serve it directly at the access rate.  (Inlined wheel-tier
-            # Simulator.schedule; the interval is a small constant.)
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[
-                (sim.now + self.ACCESS_SERVICE_INTERVAL) & WHEEL_MASK
-            ].append((seq, self._serve_direct_bound, (msg,)))
-            sim._wheel_count += 1
+            # serve it directly at the access rate.
+            self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
+                              self._serve_direct_bound, msg)
             return True
         else:
             self._queued_accesses += 1
@@ -238,12 +232,8 @@ class PimModule(Component):
             if self._waiting_senders:
                 self._wake_senders()
             self._serve_access(msg)
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[
-                (sim.now + self.ACCESS_SERVICE_INTERVAL) & WHEEL_MASK
-            ].append((seq, self._scope_done_bound, (scope,)))
-            sim._wheel_count += 1
+            self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
+                              self._scope_done_bound, scope)
 
     def _serve_direct(self, msg: Message) -> None:
         """Serve an access that bypassed the per-scope FIFO.
@@ -272,16 +262,7 @@ class PimModule(Component):
             resp = msg.make_response(MessageType.FLUSH_ACK)
         else:  # pragma: no cover - defensive
             raise ValueError(f"PIM module cannot serve {mtype}")
-        if self._access_on_wheel:
-            # Inlined Simulator.schedule (wheel tier).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self.access_latency) & WHEEL_MASK].append(
-                (seq, self._resp_offer, (resp, None)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(self.access_latency, self._resp_offer,
-                              resp, None)
+        self.sim.schedule(self.access_latency, self._resp_offer, resp, None)
 
     def _latency_of(self, msg: Message) -> int:
         if self.config.zero_logic:

@@ -17,17 +17,25 @@ live in one of three tiers, picked by their delay at scheduling time:
   execution, long scans) fall back to a classic ``(time, seq, callback,
   args)`` priority queue.
 
-Global event order is byte-identical to a pure-heap kernel: every event
-carries the global sequence number, and the run loop merges wheel and
-heap entries at the current cycle in sequence order before draining the
-ring.  (Ring entries are always youngest -- zero-delay events can only
-be scheduled *at* the current cycle, so their sequence numbers exceed
-those of any wheel or heap entry landing on it.)
+Ring and wheel entries are plain ``(callback, args)`` pairs; only heap
+entries carry a sequence number, to break ties among themselves.  The
+tiers need none between them, because within one cycle they always run
+in global scheduling order when drained heap first, then the wheel
+bucket, then the ring:
+
+* a heap entry due at cycle t was scheduled at or before t-256, a wheel
+  entry due at t at or after t-255, so every heap entry is older;
+* ring entries are created at the current cycle itself, so they are the
+  youngest.
 
 Because a wheel insert never reaches delay ``WHEEL_SLOTS``, a bucket
 only ever holds entries for one cycle at a time, and the time-advance
 scan visits each passed slot exactly once -- O(total cycles) over a run,
 bounded by the heap head when the wheel is sparse.
+
+The entry format and the wheel geometry are private to this module:
+components schedule only through :meth:`Simulator.schedule` and
+:meth:`Simulator.call_at_now`.
 """
 
 from __future__ import annotations
@@ -41,9 +49,7 @@ from repro.sim import messages as _messages
 
 #: Timing-wheel size (power of two).  Delays 1..WHEEL_SLOTS-1 ride the
 #: wheel; the bound must stay above the largest common latency in the
-#: timing model (DRAM/PIM accesses: 200 cycles).  The hottest schedule
-#: sites inline the wheel insert against WHEEL_MASK directly -- change
-#: the entry shape or the constants here and there together.
+#: timing model (DRAM/PIM accesses: 200 cycles).
 WHEEL_SLOTS = 256
 WHEEL_MASK = WHEEL_SLOTS - 1
 
@@ -79,9 +85,8 @@ class Simulator:
         self._events_executed: int = 0
         self._running = False
         self._stop = False
-        # Observability hook (a Tracer, or None).  The untraced run loop
-        # never reads it past the single branch in :meth:`run`, so
-        # tracing off costs nothing on the hot path.
+        # Observability hook (a Tracer, or None).  The run loop reads it
+        # once, on exit, to flush the dispatch-tier tallies.
         self._trace = None
 
     @property
@@ -97,10 +102,9 @@ class Simulator:
     def schedule(self, delay: int, callback: Callable, *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
 
-        Events scheduled at the same cycle run in scheduling order (the
-        sequence number breaks ties), which keeps runs deterministic.
-        The delay picks the tier: 0 -> ring, 1..WHEEL_SLOTS-1 -> wheel,
-        anything further -> heap.
+        Events scheduled at the same cycle run in scheduling order, which
+        keeps runs deterministic.  The delay picks the tier: 0 -> ring,
+        1..WHEEL_SLOTS-1 -> wheel, anything further -> heap.
         """
         if delay <= 0:
             # Debug-only guard (compiled out under ``python -O``, like an
@@ -108,28 +112,18 @@ class Simulator:
             # the optimized run loop should not pay for the check.
             if __debug__ and delay < 0:
                 raise SimulationError(f"negative delay {delay!r}")
-            self._seq = seq = self._seq + 1
-            self._ring.append((seq, callback, args))
-            return
-        self._seq = seq = self._seq + 1
-        if delay < WHEEL_SLOTS:
+            self._ring.append((callback, args))
+        elif delay < WHEEL_SLOTS:
             self._wheel[(self.now + delay) & WHEEL_MASK].append(
-                (seq, callback, args))
+                (callback, args))
             self._wheel_count += 1
         else:
+            self._seq = seq = self._seq + 1
             heapq.heappush(self._queue, (self.now + delay, seq, callback, args))
 
     def call_at_now(self, callback: Callable, *args: Any) -> None:
-        """Fast path for ``schedule(0, ...)``: no delay validation at all.
-
-        NOTE: the hottest kick sites (QueuedComponent.offer/unblock,
-        Core._schedule_step, MemoryController.offer) inline this body to
-        skip the call frame -- change the ring-entry shape here and
-        there together.  (The hottest small-delay sites likewise inline
-        the wheel insert from :meth:`schedule`.)
-        """
-        self._seq = seq = self._seq + 1
-        self._ring.append((seq, callback, args))
+        """Fast path for ``schedule(0, ...)``: no delay validation at all."""
+        self._ring.append((callback, args))
 
     def schedule_at(self, time: int, callback: Callable, *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute cycle ``time``."""
@@ -159,70 +153,56 @@ class Simulator:
             until: stop once the next event would be later than this cycle.
             max_events: safety valve against runaway simulations.
             stop_when: predicate checked after every event; ``True`` stops.
+
+        With a tracer attached, the run's dispatch-tier tallies are
+        flushed to ``Tracer.kernel_tally`` once, on exit.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if self._trace is not None:
-            # The traced loop is a byte-identical twin of the one below
-            # plus per-cycle tier tallies; keeping it separate keeps the
-            # disabled path free of any per-event tracing cost.
-            return self._run_traced(until, max_events, stop_when)
+        # Local aliases: this loop is the hottest code in the package.
+        queue = self._queue
+        ring = self._ring
+        wheel = self._wheel
+        mask = WHEEL_MASK
+        pop = heapq.heappop
+        ring_popleft = ring.popleft
+        start = events = self._events_executed
+        now = self.now
+        limit = sys.maxsize if max_events is None else max_events
+        # The current bucket's size is fixed once its cycle starts
+        # (callbacks can never schedule onto the wheel at the current
+        # cycle), so `_wheel_count` is deducted once per cycle, and the
+        # entries left on an early exit are restored.  `taken` sums
+        # those deductions: it yields the wheel-tier tally for free.
+        bucket = wheel[now & mask]
+        taken = len(bucket)
+        self._wheel_count -= taken
+        # Likewise no callback can push a heap entry at the current
+        # cycle, so whether the heap head is due now is known at each
+        # cycle start and changes only when the heap is popped.
+        heap_at_now = bool(queue) and queue[0][0] == now
+        heap_n = 0
+        # Cycles that dispatched at least one event: every accepted time
+        # advance dispatches, and so does the starting cycle if anything
+        # is due at it.
+        cycles = 0
         self._running = True
         try:
-            # Local aliases: this loop is the hottest code in the package.
-            queue = self._queue
-            ring = self._ring
-            wheel = self._wheel
-            mask = WHEEL_MASK
-            pop = heapq.heappop
-            ring_popleft = ring.popleft
-            events = self._events_executed
-            now = self.now
-            limit = sys.maxsize if max_events is None else max_events
-            # Within one cycle the three tiers drain in global sequence
-            # order: the current wheel bucket merged with heap entries at
-            # `now` (both scheduled in earlier cycles), then the ring
-            # (whose entries are created at `now` and therefore youngest).
-            # `heap_at_now` turns False the moment the heap head moves
-            # past `now` -- callbacks can never push a heap (or wheel)
-            # entry at the *current* cycle, so the flag only flips back
-            # when time advances and the common ring-only stretch runs
-            # with no heap peeking at all.  For the same reason the
-            # current bucket's size is fixed once its cycle starts, so
-            # `_wheel_count` is deducted once per cycle (and leftover
-            # entries are restored on an early exit) instead of per pop.
-            bucket = wheel[now & mask]
-            self._wheel_count -= len(bucket)
-            heap_at_now = True
             if until is not None and now > until:
                 return
+            if heap_at_now or bucket or ring:
+                cycles = 1
             while True:
-                # -- select exactly one event ------------------------- #
-                if bucket:
-                    if heap_at_now and queue:
-                        head = queue[0]
-                        if head[0] != now:
-                            heap_at_now = False
-                            _, cb, args = bucket.popleft()
-                        elif head[1] < bucket[0][0]:
-                            pop(queue)
-                            cb = head[2]
-                            args = head[3]
-                        else:
-                            _, cb, args = bucket.popleft()
-                    else:
+                # -- select exactly one event: heap, wheel, ring ------- #
+                if heap_at_now:
+                    _, _, cb, args = pop(queue)
+                    heap_n += 1
+                    if not queue or queue[0][0] != now:
                         heap_at_now = False
-                        _, cb, args = bucket.popleft()
-                elif heap_at_now:
-                    if queue and queue[0][0] == now:
-                        head = pop(queue)
-                        cb = head[2]
-                        args = head[3]
-                    else:
-                        heap_at_now = False
-                        continue
+                elif bucket:
+                    cb, args = bucket.popleft()
                 elif ring:
-                    _, cb, args = ring_popleft()
+                    cb, args = ring_popleft()
                 else:
                     # -- advance time (or finish) --------------------- #
                     # (`bucket` itself is only reassigned past the
@@ -239,6 +219,7 @@ class Simulator:
                             while not nxt and t != heap_time:
                                 t += 1
                                 nxt = wheel[t & mask]
+                            heap_at_now = t == heap_time
                         else:
                             while not nxt:
                                 t += 1
@@ -246,6 +227,7 @@ class Simulator:
                     elif queue:
                         t = queue[0][0]
                         nxt = wheel[t & mask]
+                        heap_at_now = True
                     else:
                         return
                     if until is not None and t > until:
@@ -253,17 +235,21 @@ class Simulator:
                         return
                     self.now = now = t
                     bucket = nxt
-                    self._wheel_count -= len(bucket)
-                    heap_at_now = True
+                    n = len(bucket)
+                    self._wheel_count -= n
+                    taken += n
+                    cycles += 1
                     continue
                 # -- dispatch + the one shared post-event epilogue ---- #
-                # (Most callbacks are zero-arg service/step trampolines;
-                # the plain call skips the *-unpack calling convention.)
+                # (Counted before the call, so an event whose callback
+                # raises still counts as executed.  Most callbacks are
+                # zero-arg service/step trampolines; the plain call
+                # skips the *-unpack calling convention.)
+                events += 1
                 if args:
                     cb(*args)
                 else:
                     cb()
-                events += 1
                 if events >= limit:
                     raise SimulationError(
                         f"exceeded max_events={max_events} at cycle {self.now}"
@@ -284,129 +270,15 @@ class Simulator:
             # and the per-event attribute stores are measurable at this
             # loop's temperature.  Un-executed entries of the current
             # bucket (early stop) are re-counted.
+            leftover = len(bucket)
             self._events_executed = events
-            self._wheel_count += len(bucket)
+            self._wheel_count += leftover
             self._running = False
-
-    def _run_traced(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """The :meth:`run` loop plus per-cycle dispatch-tier tallies.
-
-        Selection, ordering, stop handling and bookkeeping are copied
-        verbatim from :meth:`run`; the only additions are the three tier
-        counters flushed to ``Tracer.kernel_tally`` once per simulated
-        cycle that dispatched anything.  Event order (and therefore
-        every result digest) is identical to the untraced loop.
-        """
-        self._running = True
-        trace = self._trace
-        tally = trace.kernel_tally
-        c_ring = c_wheel = c_heap = 0
-        try:
-            queue = self._queue
-            ring = self._ring
-            wheel = self._wheel
-            mask = WHEEL_MASK
-            pop = heapq.heappop
-            ring_popleft = ring.popleft
-            events = self._events_executed
-            now = self.now
-            limit = sys.maxsize if max_events is None else max_events
-            bucket = wheel[now & mask]
-            self._wheel_count -= len(bucket)
-            heap_at_now = True
-            if until is not None and now > until:
-                return
-            while True:
-                # -- select exactly one event ------------------------- #
-                if bucket:
-                    if heap_at_now and queue:
-                        head = queue[0]
-                        if head[0] != now:
-                            heap_at_now = False
-                            _, cb, args = bucket.popleft()
-                            c_wheel += 1
-                        elif head[1] < bucket[0][0]:
-                            pop(queue)
-                            cb = head[2]
-                            args = head[3]
-                            c_heap += 1
-                        else:
-                            _, cb, args = bucket.popleft()
-                            c_wheel += 1
-                    else:
-                        heap_at_now = False
-                        _, cb, args = bucket.popleft()
-                        c_wheel += 1
-                elif heap_at_now:
-                    if queue and queue[0][0] == now:
-                        head = pop(queue)
-                        cb = head[2]
-                        args = head[3]
-                        c_heap += 1
-                    else:
-                        heap_at_now = False
-                        continue
-                elif ring:
-                    _, cb, args = ring_popleft()
-                    c_ring += 1
-                else:
-                    # -- advance time (or finish) --------------------- #
-                    if c_ring or c_wheel or c_heap:
-                        tally(c_ring, c_wheel, c_heap)
-                        c_ring = c_wheel = c_heap = 0
-                    if self._wheel_count:
-                        t = now + 1
-                        nxt = wheel[t & mask]
-                        if queue:
-                            heap_time = queue[0][0]
-                            while not nxt and t != heap_time:
-                                t += 1
-                                nxt = wheel[t & mask]
-                        else:
-                            while not nxt:
-                                t += 1
-                                nxt = wheel[t & mask]
-                    elif queue:
-                        t = queue[0][0]
-                        nxt = wheel[t & mask]
-                    else:
-                        return
-                    if until is not None and t > until:
-                        self.now = until
-                        return
-                    self.now = now = t
-                    bucket = nxt
-                    self._wheel_count -= len(bucket)
-                    heap_at_now = True
-                    continue
-                # -- dispatch + the one shared post-event epilogue ---- #
-                if args:
-                    cb(*args)
-                else:
-                    cb()
-                events += 1
-                if events >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at cycle {self.now}"
-                    )
-                if self._stop:
-                    self._stop = False
-                    return
-                if stop_when is not None:
-                    self._events_executed = events
-                    if stop_when():
-                        return
-        finally:
-            if c_ring or c_wheel or c_heap:
-                tally(c_ring, c_wheel, c_heap)
-            self._events_executed = events
-            self._wheel_count += len(bucket)
-            self._running = False
+            trace = self._trace
+            if trace is not None:
+                wheel_n = taken - leftover
+                trace.kernel_tally(cycles, events - start - wheel_n - heap_n,
+                                   wheel_n, heap_n)
 
     def pending_events(self) -> int:
         """Number of events waiting (dispatch ring + wheel + heap)."""

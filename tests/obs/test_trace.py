@@ -36,11 +36,12 @@ def test_stall_buckets_are_shared_and_mutable():
 
 
 def test_kernel_tally_accumulates_per_tier():
+    # One call per Simulator.run: (cycles, ring, wheel, heap).
     tracer = Tracer(ring_size=0)
-    tracer.kernel_tally(3, 2, 1)
-    tracer.kernel_tally(1, 0, 0)
+    tracer.kernel_tally(2, 3, 2, 1)
+    tracer.kernel_tally(1, 1, 0, 0)
     out = tracer.export()["kernel"]
-    assert out == {"cycles": 2, "ring_events": 4, "wheel_events": 2,
+    assert out == {"cycles": 3, "ring_events": 4, "wheel_events": 2,
                    "heap_events": 1}
 
 

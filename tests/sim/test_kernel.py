@@ -2,12 +2,27 @@
 
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.sim.kernel import (
     SimulationError,
     Simulator,
-    WHEEL_MASK,
     WHEEL_SLOTS,
 )
+
+
+def _traced_sim():
+    """A simulator with a tracer attached, as the system builder does."""
+    sim = Simulator()
+    sim._trace = Tracer(ring_size=0)
+    return sim
+
+
+def _tally(sim):
+    """The kernel dispatch tallies flushed so far: (cycles, ring, wheel,
+    heap)."""
+    k = sim._trace.export()["kernel"]
+    return (k["cycles"], k["ring_events"], k["wheel_events"],
+            k["heap_events"])
 
 
 def test_events_run_in_time_order():
@@ -68,20 +83,26 @@ def test_negative_delay_raises():
 
 
 def test_run_until_stops_clock():
-    sim = Simulator()
+    sim = _traced_sim()
     hits = []
     sim.schedule(5, hits.append, "a")
     sim.schedule(50, hits.append, "b")
+    sim.schedule(5, sim.call_at_now, hits.append, "a-ring")
+    sim.schedule(WHEEL_SLOTS + 20, hits.append, "c")
     sim.run(until=10)
-    assert hits == ["a"]
+    assert hits == ["a", "a-ring"]
     assert sim.now == 10
-    assert sim.pending_events() == 1
+    assert sim.pending_events() == 2
+    assert _tally(sim) == (1, 1, 2, 0)
+    sim.run(until=10)  # nothing due by the bound: an empty run
+    assert _tally(sim) == (1, 1, 2, 0)
     sim.run()
-    assert hits == ["a", "b"]
+    assert hits == ["a", "a-ring", "b", "c"]
+    assert _tally(sim) == (3, 1, 3, 1)
 
 
 def test_max_events_guard():
-    sim = Simulator()
+    sim = _traced_sim()
 
     def forever():
         sim.schedule(1, forever)
@@ -89,15 +110,21 @@ def test_max_events_guard():
     sim.schedule(0, forever)
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
+    # The ring kick at cycle 0, then one wheel hop per cycle.
+    assert _tally(sim) == (100, 1, 99, 0)
 
 
 def test_stop_when_predicate():
-    sim = Simulator()
+    sim = _traced_sim()
     hits = []
     for i in range(10):
         sim.schedule(i + 1, hits.append, i)
     sim.run(stop_when=lambda: len(hits) >= 4)
     assert hits == [0, 1, 2, 3]
+    assert _tally(sim) == (4, 0, 4, 0)
+    sim.run()
+    assert hits == list(range(10))
+    assert _tally(sim) == (10, 0, 10, 0)
 
 
 def test_events_executed_counter():
@@ -180,20 +207,22 @@ def test_ring_respects_until_bound():
 
 
 def test_stop_flag_halts_after_current_event():
-    sim = Simulator()
+    sim = _traced_sim()
     hits = []
     sim.schedule(1, hits.append, "a")
     sim.schedule(2, lambda: (hits.append("stop"), sim.stop()))
     sim.schedule(3, hits.append, "c")
     sim.run()
     assert hits == ["a", "stop"]
+    assert _tally(sim) == (2, 0, 2, 0)
     # The flag is consumed: a later run resumes normally.
     sim.run()
     assert hits == ["a", "stop", "c"]
+    assert _tally(sim) == (3, 0, 3, 0)
 
 
 def test_max_events_counts_ring_events():
-    sim = Simulator()
+    sim = _traced_sim()
 
     def forever():
         sim.call_at_now(forever)
@@ -202,6 +231,7 @@ def test_max_events_counts_ring_events():
     with pytest.raises(SimulationError):
         sim.run(max_events=50)
     assert sim.events_executed == 50
+    assert _tally(sim) == (1, 50, 0, 0)
 
 
 def test_delay_tiers_route_to_wheel_and_heap():
@@ -252,7 +282,7 @@ def test_same_slot_different_cycles_do_not_collide():
 def test_run_until_inside_wheel_horizon():
     """``until`` landing between two wheel entries stops the clock there
     and leaves the later entry pending for the next run."""
-    sim = Simulator()
+    sim = _traced_sim()
     hits = []
     sim.schedule(5, hits.append, "early")
     sim.schedule(50, hits.append, "late")  # both within the wheel
@@ -260,9 +290,11 @@ def test_run_until_inside_wheel_horizon():
     assert hits == ["early"]
     assert sim.now == 10
     assert sim.pending_events() == 1
+    assert _tally(sim) == (1, 0, 1, 0)
     sim.run()
     assert hits == ["early", "late"]
     assert sim.now == 50
+    assert _tally(sim) == (2, 0, 2, 0)
 
 
 def test_schedule_at_current_cycle_rides_the_ring():
@@ -310,16 +342,54 @@ def test_wheel_heap_and_ring_interleave_in_scheduling_order():
 def test_stop_mid_cycle_preserves_wheel_entries():
     """stop() between two same-cycle wheel events must not lose the
     second one (exercises the run loop's leftover-bucket bookkeeping)."""
-    sim = Simulator()
+    sim = _traced_sim()
     hits = []
     sim.schedule(3, lambda: (hits.append("a"), sim.stop()))
     sim.schedule(3, hits.append, "b")
     sim.run()
     assert hits == ["a"]
     assert sim.pending_events() == 1
+    # The leftover entry is not counted as dispatched.
+    assert _tally(sim) == (1, 0, 1, 0)
     sim.run()
     assert hits == ["a", "b"]
     assert sim.now == 3
+    # Each run counts the cycle it dispatched in: the split cycle twice.
+    assert _tally(sim) == (2, 0, 2, 0)
+
+
+def test_stop_mid_cycle_resumes_each_tier_in_order():
+    """A stop() at every point of a cycle that holds heap, wheel and
+    ring events resumes in the same order as one uninterrupted run, and
+    the tallies count every event once."""
+    target = WHEEL_SLOTS + 7
+    expected = ["heap-a", "heap-b", "wheel-a", "wheel-b", "ring-a",
+                "ring-b"]
+    for stop_after in range(len(expected)):
+        sim = _traced_sim()
+        order = []
+
+        def hit(label):
+            order.append(label)
+            if label.startswith("wheel"):
+                sim.call_at_now(hit, "ring" + label[-2:])
+            if len(order) == stop_after + 1:
+                sim.stop()
+
+        sim.schedule_at(target, hit, "heap-a")
+        sim.schedule_at(target, hit, "heap-b")
+        sim.schedule(WHEEL_SLOTS - 3, sim.schedule_at, target, hit, "wheel-a")
+        sim.schedule(WHEEL_SLOTS - 3, sim.schedule_at, target, hit, "wheel-b")
+        sim.run()
+        assert order == expected[:stop_after + 1]
+        sim.run()
+        assert order == expected
+        assert sim.pending_events() == 0
+        cycles, ring, wheel, heap = _tally(sim)
+        assert (ring, wheel, heap) == (2, 4, 2)
+        # The trampoline cycle, then the target cycle once per run that
+        # dispatched in it (the last stop leaves nothing to resume).
+        assert cycles == (2 if stop_after == len(expected) - 1 else 3)
 
 
 def test_stop_when_sees_live_events_executed():
