@@ -13,6 +13,7 @@ fail when throughput drops more than 30% below the checked-in baseline.
 
 import json
 import os
+import statistics
 
 import pytest
 
@@ -29,6 +30,10 @@ SCALED_CONFIGS = ("ycsb-c-8core", "tpch-q6-sf2")
 #: Seed-sized pinned points outside the --quick smoke; their digests are
 #: gated through the scaled fixture so every pinned config is checked.
 OTHER_CONFIGS = ("ycsb-mix", "tpch-q6")
+
+#: Interleaved (silent, explicit) measurement pairs of the MSHR
+#: overhead gate; odd, so the median is one measured pair's ratio.
+MSHR_GATE_PAIRS = 5
 
 
 @pytest.fixture(scope="module")
@@ -156,16 +161,24 @@ def test_mshr_config_matches_checked_in_digest(mshr_record, bench_file):
     assert cur["stats_sha256"] != twin["stats_sha256"]  # mshr_* stats only
 
 
-def test_mshr_bookkeeping_overhead_is_bounded(quick_record, mshr_record):
+def test_mshr_bookkeeping_overhead_is_bounded():
     """Hit-path overhead gate: with the MSHR stats on, ycsb-c must keep
-    at least 80% of the silent-default throughput.  Both sides are
-    measured in this very session (best of the same repeat count), so
-    the ratio is machine-independent unlike the absolute ev/s gates."""
-    silent = quick_record["configs"]["ycsb-c"]["events_per_sec"]
-    explicit = mshr_record["configs"]["ycsb-c-mshr8"]["events_per_sec"]
-    assert explicit >= 0.8 * silent, (
-        f"MSHR bookkeeping costs more than 20% of the hit path: "
-        f"{explicit:,} ev/s vs {silent:,} ev/s silent-default"
+    at least 80% of the silent-default throughput.  The two configs run
+    in interleaved pairs (alternating which goes first) and the gate
+    reads the median per-pair ratio, so load that drifts during the
+    session hits both sides of a pair alike; the ratio is
+    machine-independent unlike the absolute ev/s gates."""
+    ratios = []
+    for i in range(MSHR_GATE_PAIRS):
+        pair = ("ycsb-c", "ycsb-c-mshr8")
+        rate = {name: perf.run_config(name, repeats=1)["events_per_sec"]
+                for name in (pair if i % 2 == 0 else pair[::-1])}
+        ratios.append(rate["ycsb-c-mshr8"] / rate["ycsb-c"])
+    ratio = statistics.median(ratios)
+    assert ratio >= 0.8, (
+        f"MSHR bookkeeping costs more than 20% of the hit path: median "
+        f"explicit/silent throughput ratio {ratio:.3f} over "
+        f"{MSHR_GATE_PAIRS} pairs ({', '.join(f'{r:.3f}' for r in ratios)})"
     )
 
 

@@ -448,13 +448,7 @@ class Core(Component):
                     trace.flight_trigger("stale_read", self.sim.now,
                                          self.name, resp.req.op_id)
                 if self.stale_cb is not None:
-                    # The callback may retain the response (tracing,
-                    # assertions); hand it over instead of recycling.
                     self.stale_cb(self, resp)
-                    self._schedule_step(0)
-                    if self._exhausted and not self._done_notified:
-                        self._maybe_finish()
-                    return
         elif mtype is _MT_STORE_ACK:
             self.outstanding_stores -= 1
             if resp.scope is not None:
@@ -464,15 +458,10 @@ class Core(Component):
             if resp.scope is not None:
                 self._track_scope(resp.scope, -1)
         elif mtype is _MT_PIM_ACK:
-            # Atomic model: the op may now commit.  The PIM op itself is
-            # still travelling toward the module -- only the ACK is dead.
+            # Atomic model: the op may now commit.
             self._waiting_pim_ack = False
         else:  # pragma: no cover - defensive
             raise ValueError(f"core got {mtype}")
-        # The response is finished: recycle it through the message
-        # pool.  (The request may be observed by tracers/tests, so only
-        # the transient response is pooled.)
-        resp.release()
         # Inlined _schedule_step(0): one wake-up per response delivered.
         if not self._step_scheduled and not self._exhausted:
             self._step_scheduled = True

@@ -319,8 +319,6 @@ class EntryPoint(Component):
                     del self.pending_pim_scopes[resp.scope]
                 else:
                     self.pending_pim_scopes[resp.scope] = count
-            # The ACKed PIM op itself is still in flight toward the
-            # module; only the ACK is recyclable (released below).
         elif resp.mtype is MessageType.SCOPE_FENCE_ACK:
             self.pending_scope_fences -= 1
             self.fenced_scopes.discard(resp.scope)
@@ -329,4 +327,3 @@ class EntryPoint(Component):
         self._schedule_serve()
         if self._core is not None:
             self._core.on_subsystem_ack(resp)
-        resp.release()

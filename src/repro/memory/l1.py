@@ -115,8 +115,8 @@ class L1Cache(QueuedComponent):
     def handle(self, msg: Message) -> Union[bool, int]:
         mtype = msg.mtype
         # Loads and stores are the simulator's hottest messages: their
-        # hit paths are flattened here (lookup + pooled response +
-        # schedule) rather than dispatched through the per-type helpers.
+        # hit paths are flattened here (lookup + response + schedule)
+        # rather than dispatched through the per-type helpers.
         if mtype is _LOAD:
             line = self.array.lookup(msg.addr)
             if line is None:
@@ -237,7 +237,7 @@ class L1Cache(QueuedComponent):
         return latency, wbs
 
     def _writeback_msg(self, line) -> Message:
-        return Message.acquire(
+        return Message(
             MessageType.WRITEBACK,
             addr=line.addr,
             scope=line.scope,
@@ -276,15 +276,11 @@ class L1Cache(QueuedComponent):
         mshr = self.mshr_file.complete(line_addr)
         if mshr is None:
             # Fill for a line whose waiters were already satisfied.
-            resp.release()
             return
         req = resp.req
         exclusive = req.exclusive if req is not None else mshr.exclusive
         scope = resp.scope
         self._install(line_addr, scope, resp.version, exclusive)
-        # The response is consumed; recycle it before answering the
-        # waiters (which draws from the same pool).
-        resp.release()
         retry: List[Message] = []
         line = self.array.lookup(line_addr, touch=False)
         for waiter in mshr.waiters:

@@ -185,13 +185,9 @@ class LastLevelCache(QueuedComponent):
         line_addr = resp.addr
         mshr = self.mshr_file.complete(line_addr)
         if mshr is None:
-            resp.release()
             return
         scope = resp.scope
         line = self._install(line_addr, scope, resp.version)
-        # The response is consumed; recycle it before answering the
-        # waiters (which draws from the same pool).
-        resp.release()
         sharers = self._dir.setdefault(line_addr, set())
         for waiter in mshr.waiters:
             if waiter.mtype is _LOAD and not waiter.exclusive:
@@ -260,8 +256,7 @@ class LastLevelCache(QueuedComponent):
             sharers = self._dir.get(line.addr)
             if sharers is not None:
                 sharers.discard(msg.core)
-            msg.release()  # absorbed: writebacks get no response
-            return True
+            return True  # absorbed: writebacks get no response
         # Inclusive-violation race (we already evicted): pass to memory.
         return self._forward_mem(msg)
 
@@ -281,9 +276,8 @@ class LastLevelCache(QueuedComponent):
                 version = line_version
             dirty = dirty or line_dirty
         if dirty:
-            wb = Message.acquire(MessageType.WRITEBACK, addr=msg.addr,
-                                 scope=msg.scope, core=msg.core,
-                                 version=version)
+            wb = Message(MessageType.WRITEBACK, addr=msg.addr,
+                         scope=msg.scope, core=msg.core, version=version)
             if not self._mem_offer(wb, self):
                 return False
         self._respond(msg, MessageType.FLUSH_ACK, version)
@@ -376,8 +370,8 @@ class LastLevelCache(QueuedComponent):
 
     def _queue_writeback(self, addr: int, scope: Optional[int], version: int) -> None:
         self._pending_wbs.append(
-            Message.acquire(MessageType.WRITEBACK, addr=addr, scope=scope,
-                            version=version)
+            Message(MessageType.WRITEBACK, addr=addr, scope=scope,
+                    version=version)
         )
         self._drain_writebacks()
 

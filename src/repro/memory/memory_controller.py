@@ -158,8 +158,6 @@ class MemoryController(Component):
             queue.pop(index)
             self._served += 1
             if trace is not None:
-                # Record before service: a terminal writeback is
-                # released back to the pool inside _service_dram.
                 trace.record(self.sim.now, self.name, msg.mtype.name,
                              msg.op_id)
             batch = self._collect_burst(msg) if self._burst_enabled else None
@@ -215,8 +213,7 @@ class MemoryController(Component):
         mtype = msg.mtype
         if mtype is _WRITEBACK:
             self.memory.write(msg.addr, msg.version)
-            msg.release()  # terminal: writebacks get no response
-            return
+            return  # terminal: writebacks get no response
         if mtype is _LOAD:
             version = self.memory.read(msg.addr)
             resp = msg.make_response(MessageType.LOAD_RESP, version=version)

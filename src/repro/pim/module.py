@@ -104,7 +104,7 @@ class PimModule(Component):
         self.stats.register_flush(self._flush_stats)
         # Pre-bound callables for the per-access hot path.
         self._resp_offer = resp_net.offer
-        self._serve_direct_bound = self._serve_direct
+        self._serve_access_bound = self._serve_access
         self._scope_done_bound = self._scope_done
         self._advance_scope_bound = self._advance_scope
         self._complete_op_bound = self._complete_op
@@ -173,7 +173,7 @@ class PimModule(Component):
             # Record-data access: its arrays are not written by PIM ops;
             # serve it directly at the access rate.
             self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
-                              self._serve_direct_bound, msg)
+                              self._serve_access_bound, msg)
             return True
         else:
             self._queued_accesses += 1
@@ -235,17 +235,6 @@ class PimModule(Component):
             self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
                               self._scope_done_bound, scope)
 
-    def _serve_direct(self, msg: Message) -> None:
-        """Serve an access that bypassed the per-scope FIFO.
-
-        Nothing else references the message afterwards, so a terminal
-        writeback can recycle immediately (FIFO-ordered accesses keep
-        their message alive in ``_busy_scopes`` until ``_scope_done``).
-        """
-        self._serve_access(msg)
-        if msg.mtype is _WRITEBACK:
-            msg.release()
-
     def _serve_access(self, msg: Message) -> None:
         self._accesses += 1
         mtype = msg.mtype
@@ -297,12 +286,7 @@ class PimModule(Component):
                 self._advance_scope(other)
 
     def _scope_done(self, scope: int) -> None:
-        msg = self._busy_scopes.pop(scope, None)
-        if msg is not None and msg.mtype is MessageType.WRITEBACK:
-            # Terminal (no response) and no longer referenced: recycle.
-            # Releasing earlier, in _serve_access, would put a message
-            # still held in _busy_scopes back into the pool.
-            msg.release()
+        self._busy_scopes.pop(scope, None)
         self._advance_scope(scope)
 
     def _wake_senders(self) -> None:

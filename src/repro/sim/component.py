@@ -167,16 +167,12 @@ class QueuedComponent(Component):
             if not queue:
                 self._serving = False
                 return
-            if trace is not None:
-                # Capture before handle(): a consumed message may go
-                # back to the pool inside it.
-                head = queue[0]
-                kind = head.mtype.name
-                op_id = head.op_id
-            result = self.handle(queue[0])
+            msg = queue[0]
+            result = self.handle(msg)
             if result is True:
                 if trace is not None:
-                    trace.record(self.sim.now, self.name, kind, op_id)
+                    trace.record(self.sim.now, self.name, msg.mtype.name,
+                                 msg.op_id)
                 queue.popleft()
                 if self._notify_dequeue:
                     self.on_dequeue()
@@ -290,8 +286,6 @@ class Link(QueuedComponent):
                     return
                 in_flight.popleft()
                 if trace is not None:
-                    # Record before handing over: the consumer may
-                    # release the pooled message.
                     trace.record(now, self.name, msg.mtype.name, msg.op_id)
                 msg.reply_to.receive_response(msg)
                 if self._stalled:
@@ -334,9 +328,7 @@ class ResponseDispatcher(Component):
 
     Response consumers (cores, entry points) are assumed to always accept;
     they model their own capacity internally (e.g. MLP limits are enforced
-    at issue time, not at response delivery).  Each consumer's
-    ``receive_response`` owns the message afterwards and releases pooled
-    responses back to the free list.
+    at issue time, not at response delivery).
     """
 
     __slots__ = ()

@@ -45,8 +45,6 @@ import sys
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim import messages as _messages
-
 #: Timing-wheel size (power of two).  Delays 1..WHEEL_SLOTS-1 ride the
 #: wheel; the bound must stay above the largest common latency in the
 #: timing model (DRAM/PIM accesses: 200 cycles).
@@ -288,12 +286,3 @@ class Simulator:
             # the wheel count; its un-executed entries are still queued.
             count += len(self._wheel[self.now & WHEEL_MASK])
         return count
-
-    def reset_ids(self) -> None:
-        """Reset the process-global message id counter and free-list pool.
-
-        Call between experiments in one process so ``op_id`` sequences
-        (and pooled-message identity) are reproducible per run; this is
-        what keeps the Serial and ProcessPool backends byte-identical.
-        """
-        _messages.reset_ids()

@@ -33,7 +33,7 @@ from repro.pim.module import PimModule
 from repro.sim.component import Link, ResponseDispatcher
 from repro.sim.config import SystemConfig
 from repro.sim.kernel import Simulator
-from repro.sim.messages import Message
+from repro.sim.messages import Message, reset_ids
 from repro.traffic import AdmissionQueue, arrival_times
 
 
@@ -60,9 +60,9 @@ class System:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.sim = Simulator()
-        # Fresh op-id sequence and message pool per system: experiments
-        # in one process (and forked pool workers) must be byte-identical.
-        self.sim.reset_ids()
+        # Fresh op-id sequence per system: experiments in one process
+        # (and forked pool workers) must be byte-identical.
+        reset_ids()
         self.policy = IssuePolicy(config.model)
         self.scope_map = ScopeMap(
             pim_base=config.pim_base,

@@ -4,9 +4,8 @@ This is the observability layer's hard constraint.  The specs and
 pinned digests here mirror ``tests/api/test_default_digests.py``
 exactly -- but every run executes under a full trace overlay (event
 ring + flight recorder armed).  If a trace hook ever schedules an
-event, consumes pooled-message state, or perturbs a queue decision,
-these digests move and this file fails before any baseline silently
-re-pins.
+event, writes message state, or perturbs a queue decision, these
+digests move and this file fails before any baseline silently re-pins.
 """
 
 import pytest

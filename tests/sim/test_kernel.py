@@ -438,14 +438,3 @@ def test_events_executed_is_deterministic_across_runs():
     second_events, second_hits = build_and_run()
     assert first_events == second_events
     assert first_hits == second_hits
-
-
-def test_reset_ids_restarts_op_id_sequence():
-    from repro.sim.messages import Message, MessageType
-
-    sim = Simulator()
-    sim.reset_ids()
-    first = Message(MessageType.LOAD).op_id
-    Message(MessageType.LOAD)
-    sim.reset_ids()
-    assert Message(MessageType.LOAD).op_id == first

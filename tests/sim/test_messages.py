@@ -1,5 +1,9 @@
-"""Message free-list pool semantics."""
+"""Message construction, responses and op-id sequencing."""
 
+from repro.api import perf
+from repro.api.backends import execute_experiment
+from repro.api.experiment import Experiment
+from repro.host.core import Core
 from repro.sim import messages
 from repro.sim.messages import Message, MessageType
 
@@ -8,55 +12,45 @@ def setup_function(_fn):
     messages.reset_ids()
 
 
-def test_constructor_messages_never_enter_the_pool():
-    msg = Message(MessageType.LOAD, addr=0x40)
-    msg.release()  # no-op: not pool-acquired
-    acquired = Message.acquire(MessageType.STORE, addr=0x80)
-    assert acquired is not msg
-
-
-def test_acquire_reuses_released_instances():
-    first = Message.acquire(MessageType.LOAD, addr=0x40, version=3)
-    first_id = first.op_id
-    first.release()
-    second = Message.acquire(MessageType.STORE, addr=0x80)
-    assert second is first  # recycled
-    assert second.mtype is MessageType.STORE
-    assert second.addr == 0x80
-    assert second.version == 0  # fully re-initialized
-    assert second.req is None
-    assert second.op_id == first_id + 1  # fresh id, same global sequence
-
-
-def test_release_is_idempotent():
-    msg = Message.acquire(MessageType.LOAD)
-    msg.release()
-    msg.release()  # double release must not corrupt the pool
-    a = Message.acquire(MessageType.LOAD)
-    b = Message.acquire(MessageType.LOAD)
-    assert a is not b
-
-
-def test_make_response_draws_from_the_pool():
-    req = Message(MessageType.LOAD, addr=0x1000, scope=2, core=1)
+def test_make_response_copies_fields_and_links_request():
+    req = Message(MessageType.LOAD, addr=0x1000, scope=2, core=1,
+                  reply_to="lsu", exclusive=True, version=5)
     resp = req.make_response(MessageType.LOAD_RESP, version=7)
+    assert resp is not req
     assert resp.req is req
-    assert (resp.addr, resp.scope, resp.core, resp.version) == (0x1000, 2, 1, 7)
-    resp.release()
-    recycled = req.make_response(MessageType.STORE_ACK)
-    assert recycled is resp
+    assert resp.mtype is MessageType.LOAD_RESP
+    assert (resp.addr, resp.scope, resp.core, resp.reply_to) == \
+        (0x1000, 2, 1, "lsu")
+    assert resp.version == 7
+    assert not (resp.exclusive or resp.uncacheable or resp.direct)
+    assert resp.op_id == req.op_id + 1  # fresh id from the same sequence
+    assert req.req is None
 
 
-def test_reset_ids_clears_the_pool():
-    msg = Message.acquire(MessageType.LOAD)
-    msg.release()
+def test_reset_ids_restarts_op_id_sequence():
+    first = Message(MessageType.LOAD).op_id
+    Message(MessageType.LOAD)
     messages.reset_ids()
-    assert Message.acquire(MessageType.LOAD) is not msg
+    assert Message(MessageType.LOAD).op_id == first
 
 
-def test_op_ids_match_plain_construction_sequence():
-    """Pooled acquisition draws from the same id counter as __init__,
-    so a pooled run's op_id sequence is identical to an unpooled one."""
-    ids = [Message(MessageType.LOAD).op_id for _ in range(2)]
-    pooled = Message.acquire(MessageType.LOAD)
-    assert pooled.op_id == ids[-1] + 1
+def test_delivered_responses_keep_their_fields_after_the_run(monkeypatch):
+    """Responses are plain objects: nothing reuses one after delivery,
+    so a response held past ``receive_response`` still describes the
+    reply it carried when it arrived."""
+    delivered = []
+    deliver = Core.receive_response
+
+    def recording(self, resp):
+        delivered.append(
+            (resp, (resp.mtype, resp.addr, resp.op_id, resp.version)))
+        deliver(self, resp)
+
+    monkeypatch.setattr(Core, "receive_response", recording)
+    execute_experiment(Experiment.from_dict(perf.PERF_CONFIGS["litmus"]))
+    assert delivered
+    changed = [fields for resp, fields in delivered
+               if (resp.mtype, resp.addr, resp.op_id, resp.version)
+               != fields]
+    assert not changed, f"{len(changed)} of {len(delivered)} responses " \
+                        f"changed after delivery"
