@@ -20,7 +20,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import functools
-import multiprocessing
 import os
 import traceback
 from dataclasses import dataclass
@@ -239,7 +238,7 @@ class ProcessPoolBackend(ExecutionBackend):
             for experiment, result in zip(experiments, pending):
                 try:
                     settled.append(result.get(self.timeout_s))
-                except multiprocessing.TimeoutError:
+                except ctx.TimeoutError:
                     settled.append(ExperimentFailure(
                         f"point {experiment.spec_hash()} exceeded the "
                         f"{self.timeout_s}s per-point timeout (hung "
@@ -262,6 +261,10 @@ class ProcessPoolBackend(ExecutionBackend):
     def _context():
         # Prefer fork: workers inherit the imported simulator for free and
         # no __main__ re-import is needed (spawn breaks under pytest).
+        # Imported here so that processes which never fan out (every
+        # serial or warm-store CLI call) do not pay for multiprocessing.
+        import multiprocessing
+
         methods = multiprocessing.get_all_start_methods()
         return multiprocessing.get_context(
             "fork" if "fork" in methods else None

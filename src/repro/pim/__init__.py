@@ -12,22 +12,11 @@ Two layers share one instruction set:
   the PIM module as seen by the memory system -- a finite op buffer,
   same-scope serialization, cross-scope parallelism, and per-op latencies
   derived from the functional layer's microcode lengths.
+
+:mod:`repro.pim.schema` holds the record layout both layers and the
+workloads share.  Only :mod:`repro.pim.crossbar` and
+:mod:`repro.pim.database` import numpy (the ``functional`` extra); the
+timing layer, ``isa``, ``logic`` and ``schema`` need only the standard
+library.  This package imports none of its modules, so the timing path
+loads only the ones it uses.
 """
-
-from repro.pim.crossbar import Crossbar
-from repro.pim.logic import ColumnAllocator, MicroOp, MicroProgram
-from repro.pim.isa import PimInstruction, PimOpcode
-from repro.pim.database import FieldSpec, RecordSchema, ScopeDatabase, PimDatabase
-
-__all__ = [
-    "Crossbar",
-    "ColumnAllocator",
-    "MicroOp",
-    "MicroProgram",
-    "PimInstruction",
-    "PimOpcode",
-    "FieldSpec",
-    "RecordSchema",
-    "ScopeDatabase",
-    "PimDatabase",
-]

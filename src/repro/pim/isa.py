@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.pim.logic import ColumnAllocator, LogicBuilder, MicroProgram
+from repro.pim.schema import RecordSchema
 
 
 class PimOpcode(enum.Enum):
@@ -134,10 +135,8 @@ class ScopeLayout:
     names to column ranges through this object.
     """
 
-    def __init__(self, schema: "RecordSchema", result_slots: int = 4,
+    def __init__(self, schema: RecordSchema, result_slots: int = 4,
                  scratch_cols: int = 0) -> None:
-        from repro.pim.database import RecordSchema  # local: avoid cycle
-
         if not isinstance(schema, RecordSchema):  # pragma: no cover
             raise TypeError("schema must be a RecordSchema")
         self.schema = schema

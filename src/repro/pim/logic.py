@@ -16,9 +16,10 @@ the performance model and the functional model cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.pim.crossbar import Crossbar
+if TYPE_CHECKING:
+    from repro.pim.crossbar import Crossbar
 
 INIT = "init"
 NOR = "nor"

@@ -11,34 +11,3 @@ cores, and PIM module are built on:
   statistics used to reproduce the paper's figures.
 * :mod:`repro.sim.config` -- configuration dataclasses (Table II defaults).
 """
-
-from repro.sim.kernel import Simulator
-from repro.sim.component import Component, QueuedComponent
-from repro.sim.messages import Message, MessageType
-from repro.sim.stats import Counter, MeanStat, RatioStat, StatGroup
-from repro.sim.config import (
-    CacheConfig,
-    CoreConfig,
-    MemoryConfig,
-    PimModuleConfig,
-    ScopeBufferConfig,
-    SystemConfig,
-)
-
-__all__ = [
-    "Simulator",
-    "Component",
-    "QueuedComponent",
-    "Message",
-    "MessageType",
-    "Counter",
-    "MeanStat",
-    "RatioStat",
-    "StatGroup",
-    "CacheConfig",
-    "CoreConfig",
-    "MemoryConfig",
-    "PimModuleConfig",
-    "ScopeBufferConfig",
-    "SystemConfig",
-]

@@ -6,8 +6,3 @@
 * :mod:`repro.system.simulation` -- runs compiled workloads, collects the
   statistics behind every figure, and reports stale reads.
 """
-
-from repro.system.builder import System
-from repro.system.simulation import SimulationResult, run_workload
-
-__all__ = ["System", "SimulationResult", "run_workload"]

@@ -22,11 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.sim.config import SystemConfig, config_from_dict, config_to_dict
 from repro.sim.stats import StatGroup, StatsView
-from repro.system.builder import System
+
+if TYPE_CHECKING:
+    from repro.system.builder import System
 
 #: Schema tag of the serialized :class:`SimulationResult` form.  Bump it
 #: whenever the dict shape changes incompatibly: deserialization rejects
@@ -201,6 +203,10 @@ def run_workload(
     max_events: Optional[int] = None,
 ) -> SimulationResult:
     """Build a system, compile and run ``workload`` on it."""
+    # Imported here: result readers (store, reports) load this module and
+    # need only SimulationResult, not the simulator behind System.
+    from repro.system.builder import System
+
     system = System(config)
     programs = workload.compile(system)
     system.load_programs(programs)

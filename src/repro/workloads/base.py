@@ -24,7 +24,7 @@ from typing import ClassVar, Dict, Iterable, List, Optional, Sequence
 from repro.core.models import ConsistencyModel
 from repro.core.scope import ScopeMap
 from repro.host.program import ThreadOp, ThreadProgram
-from repro.pim.database import RecordSchema
+from repro.pim.schema import RecordSchema
 from repro.system.builder import System
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.api.registry import register_workload
-from repro.pim.database import FieldSpec, RecordSchema
 from repro.pim.latency import scan_op_latency
+from repro.pim.schema import FieldSpec, RecordSchema
 from repro.system.builder import System
 from repro.workloads.base import (
     DatabaseLayout,

@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.registry import register_workload
-from repro.pim.database import RecordSchema
 from repro.pim.latency import PimLatencyModel, scan_op_latency
+from repro.pim.schema import RecordSchema
 from repro.system.builder import System
 from repro.workloads.base import (
     DatabaseLayout,
