@@ -18,6 +18,9 @@ executes specs through a pluggable backend (:class:`SerialBackend` or
     results = Runner(backend=ProcessPoolBackend(jobs=4)).run_all(exps)
     print(results[1].llc.hit_rate, results[1].pim.ops_executed)
 
+Every batch is settled, so a failing point never aborts the others;
+``Runner.run_all`` then raises :class:`RuntimeError` with its traceback.
+
 Workloads are resolved by name through the registry
 (:func:`register_workload`); results come back as
 :class:`~repro.system.simulation.SimulationResult` with typed
@@ -32,8 +35,8 @@ Results outlive the process through the persistent
 :class:`ResultStore` (:mod:`repro.api.store`): an on-disk,
 content-addressed cache keyed by spec hash plus a code/format
 fingerprint, shared by concurrent shards and sessions --
-``Runner(store=...)`` consults it before dispatching and writes every
-fresh success back.
+``Runner(store=...)`` consults it before dispatching, and the worker
+that runs a point writes its success back.
 """
 
 from repro.api.backends import (

@@ -1,14 +1,19 @@
 """Pluggable execution backends for experiment sweeps.
 
-A backend turns a list of :class:`~repro.api.experiment.Experiment`
-specs into a list of :class:`~repro.system.simulation.SimulationResult`,
-**in order**.  Two implementations ship:
+A backend has one method, :meth:`ExecutionBackend.run_all_settled`,
+the only execution contract: it turns a list of
+:class:`~repro.api.experiment.Experiment` specs into a list of settled
+outcomes, **in order** -- a result per success, an
+:class:`ExperimentFailure` per failed point.  (``Runner.run_all`` raises
+:class:`RuntimeError` only after the whole batch has settled.)
+Three implementations ship:
 
 * :class:`SerialBackend` -- run in-process, one after another;
 * :class:`ProcessPoolBackend` -- fan the sweep across worker processes
   with :mod:`multiprocessing`.  Simulations are deterministic and share
   nothing, so results are identical to the serial backend's -- only the
-  wall clock changes (roughly divided by the core count).
+  wall clock changes (roughly divided by the core count);
+* :class:`WorkQueueBackend` -- shard it across ``repro-bench worker``s.
 
 Backends execute *specs*, not workload objects: the worker rebuilds the
 workload from the registry inside the child process, so only plain data
@@ -17,7 +22,6 @@ crosses the process boundary.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import functools
 import os
@@ -74,73 +78,41 @@ class ExperimentFailure:
 Settled = Union[SimulationResult, ExperimentFailure]
 
 
-def execute_experiment_settled(experiment: Experiment,
+def execute_experiment_settled(experiment: Experiment, store=None,
                                trace: Optional[TraceConfig] = None) -> Settled:
     """Run one spec, converting any failure into :class:`ExperimentFailure`.
 
     This is the per-point isolation primitive of campaign execution: a
     workload that cannot even be built (bad parameters) or a simulation
     that dies mid-run reports as data instead of aborting the batch.
+
+    With a ``store``, the *executing worker* persists its own success,
+    so a campaign killed mid-batch keeps every point that finished.
+    Store I/O failure never fails the point.  The store pickles as plain
+    data, so the same function drives the serial path and the pool.
     """
     try:
-        return execute_experiment(experiment, trace=trace)
+        result = execute_experiment(experiment, trace=trace)
     except Exception:  # noqa: BLE001 - the point is to report, not crash
         return ExperimentFailure(traceback.format_exc())
-
-
-def execute_experiment_settled_store(
-        store, experiment: Experiment,
-        trace: Optional[TraceConfig] = None) -> Settled:
-    """Settled execution with write-through to a persistent store.
-
-    The *executing worker* persists its own success, so a campaign
-    killed mid-batch keeps every point that finished -- the next run
-    resumes from the store instead of starting over.  Store I/O failure
-    never fails the point: the result still returns and the Runner-side
-    caches serve it for this session.  The store pickles as plain data
-    (a root path and a fingerprint string), so the same function drives
-    the serial path and the process pool.
-    """
-    outcome = execute_experiment_settled(experiment, trace=trace)
-    if not isinstance(outcome, ExperimentFailure):
+    if store is not None:
         try:
-            store.put(experiment.spec_hash(), outcome, experiment)
+            store.put(experiment.spec_hash(), result, experiment)
         except OSError:
             pass
-    return outcome
+    return result
 
 
-def _settled_fn(store, trace: Optional[TraceConfig] = None):
-    """The per-point settled executor, write-through when a store rides.
-
-    Both the store and the trace overlay are bound with
-    :func:`functools.partial` over plain data (the store pickles as a
-    root path + fingerprint, :class:`TraceConfig` is a frozen
-    dataclass), so the same callable drives the serial path and the
-    process pool.
-    """
-    if store is None:
-        if trace is None:
-            return execute_experiment_settled
-        return functools.partial(execute_experiment_settled, trace=trace)
-    return functools.partial(execute_experiment_settled_store, store,
-                             trace=trace)
-
-
-class ExecutionBackend(abc.ABC):
-    """How a Runner turns experiment specs into results."""
+class ExecutionBackend:
+    """How a Runner turns specs into outcomes (serially, in-process)."""
 
     name = "abstract"
-
-    @abc.abstractmethod
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        """Execute every experiment; results align with the input order."""
 
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None,
                         trace: Optional[TraceConfig] = None,
                         progress: Optional[ProgressFn] = None) -> List[Settled]:
-        """Like :meth:`run_all`, but failures isolate to their point.
+        """Execute every experiment; failures isolate to their point.
 
         ``store`` (a :class:`~repro.api.store.ResultStore`) turns on
         per-point write-through: each success is persisted by the worker
@@ -149,26 +121,19 @@ class ExecutionBackend(abc.ABC):
         :func:`execute_experiment`).  ``progress`` is called with the
         number of points that just settled, as they settle.
         """
-        fn = _settled_fn(store, trace)
-        if progress is None:
-            return [fn(e) for e in experiments]
         settled: List[Settled] = []
         for experiment in experiments:
-            settled.append(fn(experiment))
-            progress(1)
+            settled.append(execute_experiment_settled(
+                experiment, store=store, trace=trace))
+            if progress is not None:
+                progress(1)
         return settled
-
-    def run(self, experiment: Experiment) -> SimulationResult:
-        return self.run_all([experiment])[0]
 
 
 class SerialBackend(ExecutionBackend):
     """Run experiments one by one in the calling process."""
 
     name = "serial"
-
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        return [execute_experiment(e) for e in experiments]
 
 
 def backend_for(jobs: int,
@@ -187,51 +152,46 @@ def backend_for(jobs: int,
 class ProcessPoolBackend(ExecutionBackend):
     """Fan experiments across a :mod:`multiprocessing` worker pool.
 
+    Points go to workers one at a time, which balances best when run
+    times differ wildly across a sweep.  A batch needing one worker and
+    no timeout runs in the calling process.
+
     Args:
         jobs: worker count; defaults to the machine's CPU count.
-        chunksize: experiments handed to a worker at a time.  1 balances
-            best when run times differ wildly across a sweep (strict
-            models at high scope counts run much longer than Naive at
-            low ones).
-        timeout_s: per-point wall-clock budget for *settled* batches.  A
-            point that exceeds it settles as a retryable
-            :class:`ExperimentFailure` instead of wedging the whole
-            shard; the hung child is killed when the pool closes.  The
-            budget is measured from when the batch starts waiting on
-            that point, so it bounds wait-per-point, not total wall.
+        timeout_s: per-point wall-clock budget.  A point that exceeds it
+            settles as a retryable :class:`ExperimentFailure` instead of
+            wedging the whole shard; the hung child is killed when the
+            pool closes.  The budget is measured from when the batch
+            starts waiting on that point, so it bounds wait-per-point,
+            not total wall.
     """
 
     name = "process-pool"
 
-    def __init__(self, jobs: Optional[int] = None, chunksize: int = 1,
+    def __init__(self, jobs: Optional[int] = None,
                  timeout_s: Optional[float] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.chunksize = chunksize
         self.timeout_s = timeout_s
-
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        return self._map(execute_experiment, experiments)
 
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None,
                         trace: Optional[TraceConfig] = None,
                         progress: Optional[ProgressFn] = None) -> List[Settled]:
-        fn = _settled_fn(store, trace)
-        if self.timeout_s is None and progress is None:
-            return self._map(fn, experiments)
         experiments = list(experiments)
-        if not experiments:
-            return []
-        workers = max(1, min(self.jobs, len(experiments)))
+        workers = min(self.jobs, len(experiments))
+        if not experiments or (workers == 1 and self.timeout_s is None):
+            return super().run_all_settled(experiments, store=store,
+                                           trace=trace, progress=progress)
+        fn = functools.partial(execute_experiment_settled, store=store,
+                               trace=trace)
         ctx = self._context()
         # Exiting the `with` terminates the pool, killing any child
-        # still stuck on a timed-out point.  Progress reporting rides
-        # the same per-point apply_async path as the timeout: points
-        # are collected (and reported) in input order as they finish.
+        # still stuck on a timed-out point.  Points are collected (and
+        # reported to ``progress``) in input order as they finish.
         with ctx.Pool(processes=workers) as pool:
             pending = [pool.apply_async(fn, (e,)) for e in experiments]
             settled: List[Settled] = []
@@ -247,15 +207,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 if progress is not None:
                     progress(1)
             return settled
-
-    def _map(self, fn, experiments: Sequence[Experiment]) -> List:
-        experiments = list(experiments)
-        workers = min(self.jobs, len(experiments))
-        if workers <= 1:
-            return [fn(e) for e in experiments]
-        ctx = self._context()
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(fn, experiments, chunksize=self.chunksize)
 
     @staticmethod
     def _context():
@@ -283,10 +234,7 @@ class WorkQueueBackend(ExecutionBackend):
     pick tasks up within the grace period -- so ``--distributed`` never
     needs a fleet to make progress, it only goes faster with one.
 
-    Only :meth:`run_all_settled` is distributed; :meth:`run_all` runs
-    the same path and raises on the first failure (matching the strict
-    contract of the other backends).  Keyword arguments mirror
-    :class:`~repro.api.workqueue.Coordinator`.
+    Keyword arguments mirror :class:`~repro.api.workqueue.Coordinator`.
     """
 
     name = "work-queue"
@@ -306,20 +254,12 @@ class WorkQueueBackend(ExecutionBackend):
 
         return Coordinator(self.store, **self._kwargs)
 
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        results = []
-        for outcome in self.run_all_settled(experiments):
-            if isinstance(outcome, ExperimentFailure):
-                raise RuntimeError(
-                    f"distributed point failed:\n{outcome.error}")
-            results.append(outcome)
-        return results
-
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None,
                         trace: Optional[TraceConfig] = None,
                         progress: Optional[ProgressFn] = None) -> List[Settled]:
-        if store is not None and os.fspath(store.root) != self.store.root:
+        if store is not None and (os.path.realpath(store.root)
+                                  != os.path.realpath(self.store.root)):
             raise ValueError(
                 f"WorkQueueBackend is bound to store {self.store.root!r} "
                 f"but the batch was dispatched with store {store.root!r}; "

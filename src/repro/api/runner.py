@@ -13,7 +13,7 @@ serves them through a two-tier cache:
   same directory share one cache.
 
 Either way the backend only ever sees the remaining misses, in input
-order, as exactly one dispatch per batch.
+order, as exactly one dispatch per batch, through :meth:`run_settled`.
 """
 
 from __future__ import annotations
@@ -38,21 +38,17 @@ class Runner:
 
     Args:
         backend: execution strategy; defaults to :class:`SerialBackend`.
-        cache: keep completed results in memory keyed by spec hash.
-            Disable for memory-constrained bulk sweeps whose results are
-            consumed immediately (the persistent store, if any, still
-            serves and collects results).
         store: persistent result store behind the memory cache -- a
             :class:`~repro.api.store.ResultStore` or a directory path.
             Batch execution consults it for every memory miss before
-            dispatching, and writes every fresh success back.
+            dispatching, and the worker that runs a point writes its
+            success back.
     """
 
     def __init__(self, backend: Optional[ExecutionBackend] = None,
-                 cache: bool = True,
                  store: Union[ResultStore, str, None] = None) -> None:
         self.backend = backend if backend is not None else SerialBackend()
-        self._cache: Optional[Dict[str, SimulationResult]] = {} if cache else None
+        self._cache: Dict[str, SimulationResult] = {}
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
@@ -76,39 +72,31 @@ class Runner:
     def run_all(self, experiments: Iterable[Experiment]) -> List[SimulationResult]:
         """Run a sweep; results align with the input order.
 
-        Cache hits (memory first, then the store) are served without
-        touching the backend; duplicate specs within the sweep execute
-        once.  A batch mixing cached and uncached points still makes
-        exactly one backend dispatch, of the misses only, so resumed
-        campaigns keep their sharding.
+        The batch runs as :meth:`run_settled`; once it has settled, a
+        failed point raises :class:`RuntimeError` with its traceback.
+        Points that succeeded are cached (and stored) all the same.
         """
-        hashes, memo, missing = self._partition(experiments)
-        if missing:
-            self.dispatch_count += len(missing)
-            results = self.backend.run_all(list(missing.values()))
-            memo.update(zip(missing.keys(), results))
-            if self.store is not None:
-                for h, result in zip(missing.keys(), results):
-                    try:
-                        self.store.put(h, result, missing[h])
-                    except OSError:
-                        # Store I/O never fails the batch: the results
-                        # are already computed and the memory tier
-                        # serves them for this session.
-                        pass
-        return [memo[h] for h in hashes]
+        results = []
+        for result, error in self.run_settled(experiments):
+            if error is not None:
+                raise RuntimeError(f"experiment failed:\n{error}")
+            results.append(result)
+        return results
 
     def run_settled(self, experiments: Iterable[Experiment],
                     trace=None, progress=None) -> List[Outcome]:
         """Run a sweep with per-point failure isolation.
 
-        Same batch path as :meth:`run_all` -- one dispatch of the cache
-        misses -- but a point that fails reports ``(None, traceback)``
-        instead of aborting the batch.  Only successes enter the caches,
-        so a resumed campaign retries exactly its failures.  With a
-        store attached, successes are written through by the executing
-        worker itself, so a campaign killed mid-batch keeps every point
-        that finished.
+        Cache hits (memory first, then the store) are served without
+        touching the backend; duplicate specs within the sweep execute
+        once.  A batch mixing cached and uncached points still makes
+        exactly one backend dispatch, of the misses only, so resumed
+        campaigns keep their sharding.  A point that fails reports
+        ``(None, traceback)`` instead of aborting the batch.  Only
+        successes enter the caches, so a resumed campaign retries exactly
+        its failures.  With a store attached, successes are written
+        through by the executing worker itself, so a campaign killed
+        mid-batch keeps every point that finished.
 
         ``trace`` (a :class:`~repro.sim.config.TraceConfig`) overlays
         observability on execution without changing spec hashes -- cache
@@ -117,7 +105,21 @@ class Runner:
         are reported upfront, and duplicate specs count as many points
         as they serve.
         """
-        hashes, memo, missing = self._partition(experiments)
+        experiments = list(experiments)
+        hashes = [e.spec_hash() for e in experiments]
+        memo = self._cache
+        # The misses, in input order, each unique spec once; memory
+        # misses consult the persistent store before landing here.
+        missing: Dict[str, Experiment] = {}
+        for h, e in zip(hashes, experiments):
+            if h not in memo:
+                missing.setdefault(h, e)
+        if missing and self.store is not None:
+            hydrated = self.store.get_many(missing.keys())
+            self.store_hits += len(hydrated)
+            memo.update(hydrated)
+            for h in hydrated:
+                del missing[h]
         backend_progress = None
         if progress is not None:
             # Per-unique-spec dup weights, consumed in dispatch order so
@@ -140,14 +142,9 @@ class Runner:
         failed: Dict[str, str] = {}
         if missing:
             self.dispatch_count += len(missing)
-            specs = list(missing.values())
-            if self.store is not None:
-                outcomes = self.backend.run_all_settled(
-                    specs, store=self.store, trace=trace,
-                    progress=backend_progress)
-            else:
-                outcomes = self.backend.run_all_settled(
-                    specs, trace=trace, progress=backend_progress)
+            outcomes = self.backend.run_all_settled(
+                list(missing.values()), store=self.store, trace=trace,
+                progress=backend_progress)
             for h, outcome in zip(missing.keys(), outcomes):
                 if isinstance(outcome, ExperimentFailure):
                     failed[h] = outcome.error
@@ -167,65 +164,22 @@ class Runner:
                 self.reconciled += len(rescued)
         return [(memo.get(h), failed.get(h)) for h in hashes]
 
-    def _partition(self, experiments: Iterable[Experiment]):
-        """Hash the batch and split it into (hashes, memo, misses).
-
-        ``memo`` is the live memory cache (or a throwaway dict with
-        caching off: the batch still dedupes, but nothing persists
-        across calls); ``misses`` maps spec hash -> experiment for the
-        points the backend must actually run, in input order, each
-        unique spec once.  Memory misses consult the persistent store
-        before landing in ``misses``.
-        """
-        experiments = list(experiments)
-        hashes = [e.spec_hash() for e in experiments]
-        memo = self._cache if self._cache is not None else {}
-        missing: Dict[str, Experiment] = {}
-        for h, e in zip(hashes, experiments):
-            if h not in memo:
-                missing.setdefault(h, e)
-        if missing and self.store is not None:
-            hydrated = self.store.get_many(missing.keys())
-            if hydrated:
-                self.store_hits += len(hydrated)
-                memo.update(hydrated)
-                for h in hydrated:
-                    del missing[h]
-        return hashes, memo, missing
-
     # ------------------------------------------------------------------ #
 
     @property
     def cache_size(self) -> int:
-        return len(self._cache) if self._cache is not None else 0
+        return len(self._cache)
 
     def preload(self, results: Mapping[str, SimulationResult]) -> int:
         """Seed the memory cache with spec-hash-keyed results (campaign
-        resume).  Returns how many entries were installed.
-
-        Raises with caching disabled: a silently dropped preload would
-        make campaign resume re-simulate everything it was handed.
-        """
-        if self._cache is None:
-            if self.store is not None:
-                where = (f"store at {self.store.root!r} (fingerprint "
-                         f"{self.store.fingerprint}) still serves misses, but")
-            else:
-                where = "no store is attached, so"
-            raise RuntimeError(
-                "Runner.preload() needs the memory cache: this Runner was "
-                f"built with cache=False, so {where} the preloaded results "
-                "would be dropped and every point would silently re-simulate")
+        resume).  Returns how many entries were installed."""
         self._cache.update(results)
         return len(results)
 
     def cached(self, experiment: Experiment) -> Optional[SimulationResult]:
         """The memory-cached result for a spec, or ``None``."""
-        if self._cache is None:
-            return None
         return self._cache.get(experiment.spec_hash())
 
     def clear_cache(self) -> None:
         """Drop the memory tier (the persistent store is untouched)."""
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()

@@ -344,13 +344,6 @@ class ResultStore:
         }
         return atomic_write_json(self.path(spec_hash), entry)
 
-    def put_many(self, results: Dict[str, SimulationResult],
-                 experiments: Optional[Dict[str, object]] = None) -> int:
-        for spec_hash, result in results.items():
-            experiment = (experiments or {}).get(spec_hash)
-            self.put(spec_hash, result, experiment)
-        return len(results)
-
     # -- maintenance ----------------------------------------------------- #
 
     def paths(self) -> Iterator[str]:

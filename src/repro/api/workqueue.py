@@ -72,7 +72,7 @@ from repro.api.backends import (
     ExperimentFailure,
     SerialBackend,
     Settled,
-    execute_experiment_settled_store,
+    execute_experiment_settled,
 )
 from repro.api.experiment import Experiment
 from repro.api.store import (
@@ -375,8 +375,8 @@ class QueueWorker:
                                     spec=spec_hash[:12], status="cached")
                 continue
             experiment = Experiment.from_dict(point["experiment"])
-            outcome = execute_experiment_settled_store(self.store, experiment,
-                                                       trace=trace)
+            outcome = execute_experiment_settled(experiment, store=self.store,
+                                                 trace=trace)
             self.points_run += 1
             if isinstance(outcome, ExperimentFailure):
                 # Deterministic: the spec itself fails; report as data.

@@ -37,8 +37,8 @@ def test_process_pool_matches_serial_exactly():
     """Simulations are deterministic and share nothing, so fanning a
     sweep over worker processes must not change a single statistic."""
     exps = _experiments()
-    serial = SerialBackend().run_all(exps)
-    pooled = ProcessPoolBackend(jobs=2).run_all(exps)
+    serial = SerialBackend().run_all_settled(exps)
+    pooled = ProcessPoolBackend(jobs=2).run_all_settled(exps)
     assert len(pooled) == len(serial) == len(exps)
     for s, p, exp in zip(serial, pooled, exps):
         assert p.config == exp.config  # order preserved
@@ -50,7 +50,7 @@ def test_process_pool_matches_serial_exactly():
 
 def test_process_pool_single_job_falls_back_to_serial():
     exps = _experiments()[:1]
-    assert (ProcessPoolBackend(jobs=1).run_all(exps)[0].run_time
+    assert (ProcessPoolBackend(jobs=1).run_all_settled(exps)[0].run_time
             == execute_experiment(exps[0]).run_time)
 
 
@@ -117,8 +117,8 @@ def test_backends_produce_identical_stats_views():
     per-run op-id reset that System performs through
     repro.sim.messages.reset_ids()."""
     exp = _experiments()[2]
-    serial = SerialBackend().run(exp)
-    pooled = ProcessPoolBackend(jobs=2).run_all([exp])[0]
+    serial, = SerialBackend().run_all_settled([exp])
+    pooled, = ProcessPoolBackend(jobs=2).run_all_settled([exp])
     assert serial.llc.as_dict() == pooled.llc.as_dict()
     assert serial.pim.as_dict() == pooled.pim.as_dict()
     assert serial.mc.as_dict() == pooled.mc.as_dict()

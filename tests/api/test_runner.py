@@ -60,12 +60,6 @@ class _CountingBackend(SerialBackend):
         self.executed: List[str] = []
         self.batches: List[List[str]] = []
 
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        hashes = [e.spec_hash() for e in experiments]
-        self.executed.extend(hashes)
-        self.batches.append(hashes)
-        return super().run_all(experiments, **kwargs)
-
     def run_all_settled(self, experiments: Sequence[Experiment], **kwargs):
         hashes = [e.spec_hash() for e in experiments]
         self.executed.extend(hashes)
@@ -95,19 +89,6 @@ def test_run_all_deduplicates_within_a_batch_and_keeps_order():
     assert results[0] is results[2]
     assert results[0].model_name == "atomic"
     assert results[1].model_name == "naive"
-
-
-def test_uncached_runner_still_dedupes_batches():
-    backend = _CountingBackend()
-    runner = Runner(backend=backend, cache=False)
-    exp = _experiment(ConsistencyModel.ATOMIC)
-    results = runner.run_all([exp, exp])
-    assert len(backend.executed) == 1
-    assert results[0] is results[1]
-    assert runner.cache_size == 0
-    # ...but separate calls re-execute
-    runner.run(exp)
-    assert len(backend.executed) == 2
 
 
 def test_mixed_cached_batch_dispatches_only_the_misses():

@@ -39,10 +39,6 @@ class CountingBackend(SerialBackend):
     def __init__(self) -> None:
         self.batches: List[List[str]] = []
 
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all(experiments, **kwargs)
-
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None, **kwargs):
         self.batches.append([e.spec_hash() for e in experiments])
@@ -330,13 +326,12 @@ def test_mixed_batch_still_makes_exactly_one_dispatch(tmp_path):
     assert results[1].stats == results[3].stats
 
 
-def test_runner_accepts_a_path_and_no_cache(tmp_path):
-    """A bare directory path works, and the store tier functions even
-    with the memory cache disabled."""
+def test_runner_accepts_a_path(tmp_path):
+    """A bare directory path works as the store."""
     exp = _experiment()
-    first = Runner(cache=False, store=str(tmp_path))
+    first = Runner(store=str(tmp_path))
     first.run(exp)
-    second = Runner(cache=False, store=str(tmp_path))
+    second = Runner(store=str(tmp_path))
     backend = CountingBackend()
     second.backend = backend
     second.run(exp)
@@ -363,6 +358,28 @@ def test_settled_write_through_serial_and_pool(tmp_path):
         assert store.get(bad.spec_hash()) is None, label
 
 
+def test_run_all_raises_after_the_batch_settles(tmp_path):
+    """run_all runs the settled batch: a failed point raises
+    RuntimeError carrying its traceback, but only once every point has
+    settled, so the successes on both sides of it are already stored."""
+    good = _experiment(variant="before")
+    bad = Experiment.from_dict(dict(
+        LITMUS, variant="bad",
+        params=dict(LITMUS["params"], rounds=0)))
+    good2 = _experiment(variant="after")
+    store = ResultStore(str(tmp_path))
+    runner = Runner(store=store)
+    with pytest.raises(RuntimeError) as exc:
+        runner.run_all([good, bad, good2])
+    message = str(exc.value)
+    assert "Traceback (most recent call last)" in message
+    assert "ValueError: rounds and threads must be >= 1" in message
+    assert store.get(good.spec_hash()) is not None
+    assert store.get(good2.spec_hash()) is not None
+    assert store.get(bad.spec_hash()) is None
+    assert runner.cached(good2) is not None
+
+
 def test_pool_written_store_serves_serial_sessions(tmp_path):
     """Entries written by process-pool shards hydrate a serial session:
     the store is backend-agnostic."""
@@ -377,21 +394,6 @@ def test_pool_written_store_serves_serial_sessions(tmp_path):
     assert backend.executed == []
     for (a, _), (b, _) in zip(pooled_out, serial_out):
         assert a.stats == b.stats and a.run_time == b.run_time
-
-
-def test_preload_raises_with_caching_disabled(tmp_path):
-    """A silently dropped preload would re-simulate a whole campaign."""
-    runner = Runner(cache=False)
-    with pytest.raises(RuntimeError, match="cache=False"):
-        runner.preload({})
-    assert Runner().preload({}) == 0
-    # With a store attached the error names where misses still resolve.
-    store = ResultStore(str(tmp_path))
-    stored_runner = Runner(cache=False, store=store)
-    with pytest.raises(RuntimeError) as exc:
-        stored_runner.preload({})
-    assert store.root in str(exc.value)
-    assert store.fingerprint in str(exc.value)
 
 
 def test_prune_candidates_previews_without_removing(tmp_path, litmus_result):

@@ -34,10 +34,6 @@ class CountingBackend(SerialBackend):
     def __init__(self) -> None:
         self.batches: List[List[str]] = []
 
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all(experiments, **kwargs)
-
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None, **kwargs):
         self.batches.append([e.spec_hash() for e in experiments])

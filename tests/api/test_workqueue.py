@@ -501,11 +501,16 @@ def test_queue_status_inventories_runs_and_leases(tmp_path):
     assert status["expired_leases"] == 1
 
 
-def test_workqueue_backend_rejects_a_foreign_store(tmp_path):
-    backend = WorkQueueBackend(str(tmp_path / "a"))
+def test_workqueue_backend_rejects_a_foreign_store(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    backend = WorkQueueBackend("a")
     with pytest.raises(ValueError, match="share one store"):
         backend.run_all_settled([], store=ResultStore(str(tmp_path / "b")))
     assert backend.run_all_settled([]) == []
+    # the bound store under another spelling is the same store
+    for spelling in (os.path.abspath("a"), "a/"):
+        assert backend.run_all_settled(
+            [], store=ResultStore(spelling)) == [], spelling
 
 
 # --------------------------------------------------------------------- #

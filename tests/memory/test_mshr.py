@@ -279,8 +279,8 @@ def test_mshr_config_deterministic_across_backends():
         })
         for model, coalescing in (("scope", True), ("atomic", False))
     ]
-    serial = SerialBackend().run_all(exps)
-    pooled = ProcessPoolBackend(jobs=2).run_all(exps)
+    serial = SerialBackend().run_all_settled(exps)
+    pooled = ProcessPoolBackend(jobs=2).run_all_settled(exps)
     for s, p in zip(serial, pooled):
         assert p.run_time == s.run_time
         assert p.events == s.events

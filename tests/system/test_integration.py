@@ -110,10 +110,10 @@ def test_uncacheable_is_much_slower():
 
 
 def test_deterministic_replay():
-    # Fresh uncached runners: both calls really simulate.
+    # Fresh runners: both calls really simulate.
     exp = _experiment(ConsistencyModel.SCOPE)
-    a = Runner(cache=False).run(exp)
-    b = Runner(cache=False).run(exp)
+    a = Runner().run(exp)
+    b = Runner().run(exp)
     assert a.run_time == b.run_time
     assert a.events == b.events
 

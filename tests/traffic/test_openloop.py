@@ -93,8 +93,8 @@ def test_open_loop_is_deterministic():
 
 def test_serial_and_pool_backends_byte_identical():
     exps = [_experiment(model=m) for m in ("naive", "scope")]
-    serial = SerialBackend().run_all(exps)
-    pooled = ProcessPoolBackend(jobs=2).run_all(exps)
+    serial = SerialBackend().run_all_settled(exps)
+    pooled = ProcessPoolBackend(jobs=2).run_all_settled(exps)
     for s, p in zip(serial, pooled):
         assert s.stats["traffic"] == p.stats["traffic"]
         assert result_digest(s.to_dict()) == result_digest(p.to_dict())
